@@ -74,10 +74,11 @@ class IdSpace:
         #: bounded: one entry per distinct node id ever admitted to this
         #: space — membership-sized, not workload-sized.
         self._interned: dict = {}
-        #: monotone counter bumped whenever any routing state anywhere on
-        #: this ring changes (membership, successors, fingers).  Shared
-        #: through the space object every node already holds, it gives
-        #: the per-node ``next_hop`` caches a single O(1) staleness test;
+        #: monotone counter bumped on ring-wide routing changes (a member
+        #: joins or leaves, flipping ``alive``, or the ring is rebuilt).
+        #: Shared through the space object every node already holds, it
+        #: gives the per-node ``next_hop`` caches a single O(1) staleness
+        #: test;
         #: deliberately excluded from ``__eq__``/``__hash__`` (two spaces
         #: of equal ``m`` stay interchangeable).
         self.routing_epoch = 0
@@ -85,10 +86,15 @@ class IdSpace:
     def note_routing_change(self) -> None:
         """Invalidate all routing caches keyed to this identifier space.
 
-        Called by every sanctioned mutation site of ring pointer state
-        (:mod:`repro.chord.ring`, :mod:`repro.chord.stabilize`).  Code
-        that mutates ``successor`` / ``fingers`` / ``alive`` directly
-        must call this too, or routed lookups may serve stale hops.
+        Called where a change can reach every node's ``next_hop``: a
+        node's ``alive`` flag flips (``ChordRing.add`` / ``remove``, so
+        every join, leave and failure) or every node's pointers are
+        rewritten (``ChordRing.build``).  A change to one node's own ``successor``
+        / ``successor_list`` / ``fingers`` needs only
+        :meth:`ChordNode.note_routing_change
+        <repro.chord.node.ChordNode.note_routing_change>`.  Code that
+        mutates routing state directly must call one of the two, or
+        routed lookups may serve stale hops.
         """
         self.routing_epoch += 1
 

@@ -83,7 +83,9 @@ class ChordNode:
         # decision is piecewise-constant in the clockwise key distance,
         # so (breakpoints, results) covers the *whole* key space in
         # O(m + r) entries — bounded by construction, no per-key growth.
-        # Valid only while _nh_epoch matches space.routing_epoch.
+        # Valid only while _nh_epoch matches space.routing_epoch, and
+        # dropped by note_routing_change when this node's own pointers
+        # change.
         self._nh_arcs: Optional[
             Tuple[List[int], List[Tuple["ChordNode", bool]]]
         ] = None
@@ -92,6 +94,18 @@ class ChordNode:
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ChordNode(N{self.node_id}, {self.name!r})"
+
+    def note_routing_change(self) -> None:
+        """Drop this node's ``next_hop`` memo after its own pointers changed.
+
+        Called by the stabilizer whenever it repairs this node's
+        ``successor``, ``successor_list`` or ``fingers``.  ``next_hop``
+        reads only those and the ``alive`` flags, so one node's repair
+        leaves every other node's memo valid; a change that flips
+        ``alive`` or rebuilds every node goes through the ring-wide
+        :meth:`~repro.chord.idspace.IdSpace.note_routing_change`.
+        """
+        self._nh_arcs = None
 
     def finger_start(self, i: int) -> int:
         """Start of finger interval ``i`` (0-based): ``n + 2**i mod 2**m``."""

@@ -8,15 +8,28 @@ one accounted message per hop.
 
 Routing-step caching
 --------------------
-``next_hop`` is a pure function of the ring's routing state, which
-changes only at discrete, sanctioned mutation points (membership
-changes, stabilization repairs) — each of which bumps the shared
-:attr:`~repro.chord.idspace.IdSpace.routing_epoch`.  Between bumps,
-every node memoises its decisions, so repeated lookups (periodic finger
-repair, soft-state refresh towards stable keys) skip the finger-table
-scan.  A cached hop is *identical* to a freshly computed one — never
-merely "still reaches the owner" — so caching cannot change simulated
-behavior (hop sequences, and therefore every figure statistic, stay
+``next_hop`` of a node is a pure function of that node's own
+``successor``, ``successor_list`` and ``fingers`` plus the ``alive``
+flags of the nodes they name.  Every node memoises its decisions, so
+repeated lookups (periodic finger repair, soft-state refresh towards
+stable keys) skip the finger-table scan.  The memo is invalidated at
+two scopes:
+
+* **ring-wide** — a membership change flips an ``alive`` flag
+  (``ChordRing.add`` / ``remove``, so every join, leave and failure)
+  or every node's pointers are rewritten (``ChordRing.build``): these
+  bump the shared :attr:`~repro.chord.idspace.IdSpace.routing_epoch`,
+  which stales every node's memo;
+* **node-scoped** — a stabilizer repair of one node's own pointers
+  (``_stabilize``, ``_fix_one_finger``, ``fix_all_fingers``) calls
+  :meth:`~repro.chord.node.ChordNode.note_routing_change`, which drops
+  that node's memo only.  Under churn the stabilizer repairs some
+  pointer every few rounds; a ring-wide bump for each would rebuild
+  the memo of every node.
+
+A cached hop is *identical* to a freshly computed one — never merely
+"still reaches the owner" — so caching cannot change simulated behavior
+(hop sequences, and therefore every figure statistic, stay
 byte-identical; see PERFORMANCE.md).
 
 The memo is keyed by *arc*, not by key: the greedy decision depends on
@@ -102,10 +115,10 @@ def next_hop(node: ChordNode, key: int) -> Tuple[ChordNode, bool]:
     * otherwise forward to the closest preceding live finger.
 
     Decisions are memoised per node as arcs of the identifier circle
-    until the ring's routing epoch moves (see the module docstring); a
-    hit additionally re-checks that the memoised hop is still alive, as
-    defense in depth against routing state mutated without a
-    ``note_routing_change`` call.
+    until the ring's routing epoch moves or the node's own pointers are
+    repaired (see the module docstring); a hit additionally re-checks
+    that the memoised hop is still alive, as defense in depth against
+    routing state mutated without a ``note_routing_change`` call.
     """
     epoch = node.space.routing_epoch
     c = _opc.ACTIVE

@@ -238,10 +238,12 @@ class Stabilizer:
     def _stabilize(self, node: ChordNode) -> None:
         """Chord's ``stabilize``: verify the successor, then notify it.
 
-        Routing-cache note: the epoch is bumped only when the successor
-        pointer or backup list *actually changes* — a converged ring's
-        maintenance ticks rewrite identical values and must not thrash
-        the ``next_hop`` memos.
+        Routing-cache note: the node's ``next_hop`` memo is dropped only
+        when its successor pointer or backup list *actually changes* — a
+        converged ring's maintenance ticks rewrite identical values and
+        must not thrash it.  Other nodes' memos stay: ``next_hop`` reads
+        only the routing node's own pointers (and ``_notify`` touches
+        only ``succ.predecessor``, which it never reads).
         """
         old_succ = node.successor
         old_list = node.successor_list
@@ -257,7 +259,7 @@ class Stabilizer:
                 node.successor = node
                 node.successor_list = []
                 if old_succ is not node or old_list:
-                    node.space.note_routing_change()
+                    node.note_routing_change()
                 return
             node.successor_list = [succ]
         node.successor = succ
@@ -280,7 +282,7 @@ class Stabilizer:
                 break
         node.successor_list = fresh
         if node.successor is not old_succ or fresh != old_list:
-            node.space.note_routing_change()
+            node.note_routing_change()
 
     @staticmethod
     def _emergency_successor(node: ChordNode) -> Optional[ChordNode]:
@@ -337,17 +339,17 @@ class Stabilizer:
             repaired = None  # repaired on a later round
         if node.fingers[i] is not repaired:
             node.fingers[i] = repaired
-            node.space.note_routing_change()
+            node.note_routing_change()
 
     def fix_all_fingers(self, node: ChordNode) -> None:
         """Eagerly repair the whole finger table (test/bench convenience)."""
         for i in range(node.space.m):
             repaired = find_successor(node, node.finger_start(i))
             if node.fingers[i] is not repaired:
-                # Bump immediately: the repaired entry is consulted by the
-                # very next find_successor of this loop.
+                # Invalidate immediately: the repaired entry is consulted
+                # by the very next find_successor of this loop.
                 node.fingers[i] = repaired
-                node.space.note_routing_change()
+                node.note_routing_change()
 
     def stabilize_until_converged(self, max_rounds: int = 200) -> int:
         """Drive maintenance synchronously until routing state is exact.

@@ -27,7 +27,8 @@ Design contract (all of it enforced by tests):
   separate from :class:`~repro.core.index.LocalIndex`, so the
   index-placement invariant ("primaries only on covering nodes")
   stays checkable; replica copies are matched against the node's own
-  primary query subscriptions at report time.
+  primary query subscriptions at report time, by the same block scan
+  (:class:`~repro.core.index.BoxStore`) as the primary store.
 
 The manager is driven by :class:`~repro.core.roles.holder.
 IndexHolderService` (message handlers) and by the stabilizer's
@@ -37,9 +38,10 @@ per-node ``on_round`` hook (anti-entropy / handoff duties).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 from ..sim.network import Message
+from .index import BoxStore
 from .mbr import MBR
 from .protocol import (
     KIND,
@@ -113,7 +115,7 @@ class ReplicationManager:
     def __init__(self, holder: "IndexHolderService") -> None:
         self._holder = holder
         #: stream id -> replica copies held for other owners
-        self.store: Dict[str, List[ReplicaEntry]] = {}
+        self.store: BoxStore[ReplicaEntry] = BoxStore()
         #: (stream id, version) -> outbound placement awaiting acks
         self.outbound: Dict[Tuple[str, float], _Placement] = {}
         #: replica entries whose owner died, queued for handoff
@@ -264,14 +266,13 @@ class ReplicationManager:
         The ack is sent even for an already-held version so that a
         lost ack heals on the owner's next anti-entropy re-push.
         """
-        entries = self.store.setdefault(payload.mbr.stream_id, [])
-        for entry in entries:
+        for entry in self.store.get(payload.mbr.stream_id, ()):
             if entry.expires == payload.expires_ms:
                 entry.owner_id = payload.owner_id
                 entry.hinted = False
                 break
         else:
-            entries.append(
+            self.store.add(
                 ReplicaEntry(
                     mbr=payload.mbr,
                     source_id=payload.source_id,
@@ -368,11 +369,10 @@ class ReplicationManager:
                 expires=payload.expires_ms,
             )
             return
-        entries = self.store.setdefault(payload.mbr.stream_id, [])
-        for entry in entries:
+        for entry in self.store.get(payload.mbr.stream_id, ()):
             if entry.expires == payload.expires_ms:
                 return
-        entries.append(
+        self.store.add(
             ReplicaEntry(
                 mbr=payload.mbr,
                 source_id=payload.source_id,
@@ -457,12 +457,7 @@ class ReplicationManager:
 
     def purge(self, now: float) -> None:
         """Drop expired replica copies, placements, and hints."""
-        for stream_id in list(self.store):
-            entries = [e for e in self.store[stream_id] if e.expires > now]
-            if entries:
-                self.store[stream_id] = entries
-            else:
-                del self.store[stream_id]
+        self.store.purge(now)
         for key in [k for k, p in self.outbound.items() if p.expires <= now]:
             del self.outbound[key]
         self.hints = [e for e in self.hints if e.expires > now]
@@ -476,24 +471,16 @@ class ReplicationManager:
         Mirrors :meth:`LocalIndex.new_candidates` over the replica
         store, sharing the subscription's ``reported`` set so each
         (node, query, stream) pair is still forwarded at most once
-        across primary and replica matches.
+        across primary and replica matches.  A copy matches when its
+        MINDIST is within ``radius + 1e-12``: the replica path's own
+        acceptance test (``MBR.intersects_ball``), passed to the shared
+        scan as its radius.
         """
-        out: List[Tuple[str, float]] = []
-        feature = stored.sub.feature
-        radius = stored.sub.radius
-        for stream_id, entries in self.store.items():
-            if stream_id in stored.reported:
-                continue
-            best: Optional[float] = None
-            for entry in entries:
-                if entry.expires <= now:
-                    continue
-                d = entry.mbr.mindist(feature)
-                if d <= radius + 1e-12 and (best is None or d < best):
-                    best = d
-            if best is not None:
-                out.append((stream_id, best))
-                stored.reported.add(stream_id)
+        out = self.store.scan(
+            stored.sub.feature, stored.sub.radius + 1e-12, now, stored.reported
+        )
+        for stream_id, _ in out:
+            stored.reported.add(stream_id)
         return out
 
     def live_replica_count(self, now: float) -> int:

@@ -194,7 +194,7 @@ class FaultPlan:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class HopVerdict:
     """The injector's decision for one physical hop."""
 
@@ -234,6 +234,8 @@ class FaultInjector:
     ) -> None:
         self.plan = plan
         self.rng = rng
+        #: ``rng.random`` bound once: ``judge`` draws it on every hop
+        self._random = rng.random
         self.delay_model: DelayModel = (
             plan.delay_model if plan.delay_model is not None
             else ConstantDelay(default_delay_ms)
@@ -242,33 +244,33 @@ class FaultInjector:
         self.injected: Counter[Tuple[str, str]] = Counter()
 
     # ------------------------------------------------------------------
-    def sample_delay(self) -> float:
-        """Draw one hop delay from the plan's delay model."""
-        return self.delay_model.sample(self.rng)
-
     def judge(self, src: int, dst: int, kind: str, now: float) -> HopVerdict:
         """Decide the fate of one ``src -> dst`` hop of a ``kind`` message.
 
         Checks, in order: outage windows (deterministic, no RNG draw),
         per-link loss, global loss; surviving messages get a sampled
-        delay and possibly a duplicate with its own sampled delay.
+        delay and possibly a duplicate with its own sampled delay.  An
+        empty outage list or link-loss map costs nothing, and the RNG
+        draws come in the same order either way.
         """
-        for outage in self.plan.outages:
-            if outage.covers(now, src, dst):
-                self.injected[(kind, DROP_OUTAGE)] += 1
-                return HopVerdict(drop_reason=DROP_OUTAGE)
-        link_rate = self.plan.link_loss.get((src, dst), 0.0)
-        if link_rate > 0.0 and float(self.rng.random()) < link_rate:
-            self.injected[(kind, DROP_LINK_LOSS)] += 1
-            return HopVerdict(drop_reason=DROP_LINK_LOSS)
-        if self.plan.loss_rate > 0.0 and float(self.rng.random()) < self.plan.loss_rate:
+        plan = self.plan
+        if plan.outages:
+            for outage in plan.outages:
+                if outage.covers(now, src, dst):
+                    self.injected[(kind, DROP_OUTAGE)] += 1
+                    return HopVerdict(drop_reason=DROP_OUTAGE)
+        if plan.link_loss:
+            link_rate = plan.link_loss.get((src, dst), 0.0)
+            if link_rate > 0.0 and self._random() < link_rate:
+                self.injected[(kind, DROP_LINK_LOSS)] += 1
+                return HopVerdict(drop_reason=DROP_LINK_LOSS)
+        loss_rate = plan.loss_rate
+        if loss_rate > 0.0 and self._random() < loss_rate:
             self.injected[(kind, DROP_LOSS)] += 1
             return HopVerdict(drop_reason=DROP_LOSS)
-        verdict = HopVerdict(delay_ms=self.sample_delay())
-        if (
-            self.plan.duplicate_rate > 0.0
-            and float(self.rng.random()) < self.plan.duplicate_rate
-        ):
+        verdict = HopVerdict(delay_ms=self.delay_model.sample(self.rng))
+        dup_rate = plan.duplicate_rate
+        if dup_rate > 0.0 and self._random() < dup_rate:
             self.injected[(kind, "duplicate")] += 1
-            verdict.duplicate_delay_ms = self.sample_delay()
+            verdict.duplicate_delay_ms = self.delay_model.sample(self.rng)
         return verdict

@@ -134,3 +134,89 @@ def test_epoch_is_shared_per_space_not_global():
     a.note_routing_change()
     assert b.routing_epoch == before
     assert a.routing_epoch != b.routing_epoch or a is b
+
+
+def _stabilized_ring(n=16, m=16):
+    sim = Simulator()
+    ring = ChordRing(m=m)
+    nodes = [ring.create_node(f"dc-{i}") for i in range(n)]
+    ring.build()
+    stab = Stabilizer(sim, ring, successor_list_len=4)
+    stab.bootstrap_ring(list(ring))
+    return ring, stab, nodes
+
+
+def _stale_finger(stab, node):
+    """Point one finger of ``node`` at the wrong node (no invalidation)
+    and aim the stabilizer's round-robin cursor at it."""
+    i = node.space.m - 1
+    node.fingers[i] = node.successor
+    stab._finger_cursor[node.node_id] = i
+
+
+def _stale_successor_list(stab, node):
+    """Drop ``node``'s last backup successor (no invalidation)."""
+    node.successor_list = node.successor_list[:-1]
+
+
+def test_stabilizer_repair_leaves_other_nodes_memos_in_place():
+    """A pointer repair on node A drops A's memo only: the other nodes'
+    arc tables stay the very same objects and the ring epoch holds."""
+    for stale, repair in (
+        (_stale_finger, Stabilizer._fix_one_finger),
+        (_stale_successor_list, Stabilizer._stabilize),
+    ):
+        ring, stab, nodes = _stabilized_ring()
+        a = nodes[3]
+        stale(stab, a)
+        for node in ring:
+            next_hop(node, 12345)  # warm every memo
+        arcs = {node.node_id: node._nh_arcs for node in ring}
+        epoch = ring.space.routing_epoch
+        repair(stab, a)
+        assert a._nh_arcs is None, repair.__name__
+        assert ring.space.routing_epoch == epoch
+        for node in ring:
+            if node is not a:
+                assert node._nh_arcs is arcs[node.node_id], repair.__name__
+
+
+def _assert_memo_exact(node):
+    """Memoised next_hop == _compute_hop on both sides of every arc
+    breakpoint, of the memo held now and of a fresh table — together
+    these pin the two piecewise-constant functions to each other."""
+    from repro.chord.routing import _build_arcs, _compute_hop
+
+    size = node.space.size
+    held = node._nh_arcs if node._nh_epoch == node.space.routing_epoch else None
+    points = set(_build_arcs(node)[0])
+    if held is not None:
+        points.update(held[0])
+    for d in points:
+        for dist in (d, d - 1):
+            key = (node.node_id + dist) % size
+            assert next_hop(node, key) == _compute_hop(node, key), (node, key)
+
+
+def test_memoised_hops_stay_exact_through_stabilizer_churn():
+    """Fail, leave and join between maintenance rounds; after every
+    round each live node's memo answers like the uncached step."""
+    ring, stab, nodes = _stabilized_ring(n=20)
+    churn = {
+        1: lambda: stab.fail(nodes[5]),
+        2: lambda: stab.fail(nodes[6]),  # consecutive: backups matter
+        4: lambda: stab.join(ChordNode("joiner-a", 4242, ring.space), nodes[0]),
+        6: lambda: stab.leave(nodes[11]),
+        7: lambda: stab.join(ChordNode("joiner-b", 60001, ring.space), nodes[2]),
+        9: lambda: stab.fail(nodes[17]),
+    }
+    for node in ring:
+        _assert_memo_exact(node)
+    for round_no in range(1, 25):
+        if round_no in churn:
+            churn[round_no]()
+        for node in list(ring):
+            stab._maintain(node)
+        for node in ring:
+            _assert_memo_exact(node)
+    assert stab.is_converged()

@@ -63,22 +63,22 @@ def test_scan_reuses_stack_until_store_changes():
     idx = random_index(rng, n_streams=3, boxes_per_stream=2)
     q = np.zeros(4)
     idx.probe(q, 10.0, now=0.0)
-    stack = idx._stack
+    stack = idx._mbrs._stack
     assert stack is not None
     idx.probe(q, 10.0, now=0.0)
-    assert idx._stack is stack  # unchanged store: no rebuild
+    assert idx._mbrs._stack is stack  # unchanged store: no rebuild
 
     idx.add_mbr(MBR(low=np.zeros(4), high=np.ones(4), stream_id="s0"), expires=99.0)
-    assert idx._stack is None  # append invalidates
+    assert idx._mbrs._stack is None  # append invalidates
     idx.probe(q, 10.0, now=0.0)
-    rebuilt = idx._stack
+    rebuilt = idx._mbrs._stack
     assert rebuilt is not None and rebuilt is not stack
 
     # purge with no expiries keeps the stack; with drops it invalidates
     idx.purge(now=0.0)
-    assert idx._stack is rebuilt
+    assert idx._mbrs._stack is rebuilt
     idx.purge(now=1_000.0)
-    assert idx._stack is None
+    assert idx._mbrs._stack is None
 
 
 def test_end_of_layout_insert_appends_without_rebuild():
@@ -86,20 +86,20 @@ def test_end_of_layout_insert_appends_without_rebuild():
     idx = random_index(rng, n_streams=3, boxes_per_stream=2)
     q = np.zeros(4)
     idx.probe(q, 10.0, now=0.0)
-    before = idx._stack
+    before = idx._mbrs._stack
     assert before is not None
     # The last stream in layout order ("s2") owns the final block: its
     # insert extends the stack in place.
     idx.add_mbr(MBR(low=np.zeros(4), high=np.ones(4), stream_id="s2"), expires=99.0)
-    assert idx._stack is not None
-    assert len(idx._stack[3]) == len(before[3]) + 1
+    assert idx._mbrs._stack is not None
+    assert len(idx._mbrs._stack[3]) == len(before[3]) + 1
     # A brand-new stream also lands at the end of the layout.
     idx.add_mbr(MBR(low=np.zeros(4), high=np.ones(4), stream_id="fresh"), expires=99.0)
-    assert idx._stack is not None
-    assert idx._stack[0]["fresh"] == (7, 8)
+    assert idx._mbrs._stack is not None
+    assert idx._mbrs._stack[0]["fresh"] == (7, 8)
     # A mid-layout stream cannot append: the stack goes stale.
     idx.add_mbr(MBR(low=np.zeros(4), high=np.ones(4), stream_id="s0"), expires=99.0)
-    assert idx._stack is None
+    assert idx._mbrs._stack is None
 
 
 def test_incremental_append_matches_full_rebuild_exactly():
@@ -117,7 +117,7 @@ def test_incremental_append_matches_full_rebuild_exactly():
         warm.add_mbr(mbr, expires)
         cold.add_mbr(mbr, expires)
         got = warm.probe(q, 1.2, now=25.0)
-        cold._stack = None  # force the rebuild path every time
+        cold._mbrs._stack = None  # force the rebuild path every time
         want = cold.probe(q, 1.2, now=25.0)
         assert got == want  # same streams, same order, bit-identical dists
 
@@ -133,7 +133,7 @@ def test_ragged_dimensionalities_fall_back_to_scalar():
         scalar_scan(idx, np.zeros(2), 5.0, now=0.0)
     with pytest.raises(ValueError):
         idx.probe(np.zeros(2), 5.0, now=0.0)
-    assert idx._stack is None  # never stacked
+    assert idx._mbrs._stack is None  # never stacked
 
 
 def test_new_candidates_marks_reported_and_skips():
